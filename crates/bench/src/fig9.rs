@@ -6,6 +6,12 @@
 //! charge-discharge budget and the main loop starves (Figure 9 top).
 //! With the check wrapped in `__edb_guard_begin`/`__edb_guard_end` it
 //! runs on tethered power and the main loop always executes (bottom).
+//!
+//! Starvation is detected from ground truth: the run stops once the
+//! item counter has stood still for two seconds. The bench runs in
+//! spans that end on every store to the counter (a memory write watch)
+//! and never cross the two-second mark, so the verdict and its
+//! timestamp match a watcher that peeks the counter after every step.
 
 use crate::harness;
 use crate::runner::{ExperimentSpec, Runner};
@@ -37,25 +43,51 @@ fn device_config() -> DeviceConfig {
     }
 }
 
-fn run_variant(variant: Variant, budget: SimTime) -> (u16, u16, bool, u64, u64) {
+/// How long `COUNT` may stand still before the main loop counts as
+/// starved.
+const STALL: SimTime = SimTime::from_secs(2);
+
+/// `(count, violations, stalled, guard episodes, reboots)` of one run.
+type Outcome = (u16, u16, bool, u64, u64);
+
+fn bench(variant: Variant) -> System {
     let mut sys = System::builder(device_config())
         .harvester(harness::harvested(9))
         .build();
     sys.flash(&fib::image(variant));
+    sys
+}
+
+fn run_variant(variant: Variant, budget: SimTime) -> Outcome {
+    let mut sys = bench(variant);
+    let stalled = watch_count(&mut sys, budget, STALL);
+    outcome(&sys, stalled)
+}
+
+/// Runs the bench until `budget`, or until `COUNT` has stood still for
+/// longer than `stall`; returns whether it stalled.
+fn watch_count(sys: &mut System, budget: SimTime, stall: SimTime) -> bool {
+    // Every span ends on the quantum that stores to `COUNT`, so a change
+    // is timestamped exactly where a per-step watcher would see it, and
+    // no span runs past the first quantum boundary at which the count
+    // has stood still for longer than `stall`.
+    sys.device_mut().mem_mut().set_write_watch(Some(fib::COUNT));
     let mut last_count = 0u16;
     let mut last_change = SimTime::ZERO;
-    let mut stalled = false;
     while sys.now() < budget {
-        sys.step();
+        sys.advance_span(budget.min(last_change + stall + SimTime::from_ns(1)));
         let c = sys.device().mem().peek_word(fib::COUNT);
         if c != last_count {
             last_count = c;
             last_change = sys.now();
-        } else if sys.now().since(last_change) > SimTime::from_secs(2) {
-            stalled = true;
-            break;
+        } else if sys.now().since(last_change) > stall {
+            return true;
         }
     }
+    false
+}
+
+fn outcome(sys: &System, stalled: bool) -> Outcome {
     let count = sys.device().mem().peek_word(fib::COUNT);
     let violations = sys.device().mem().peek_word(fib::VIOLATIONS);
     let guards = sys
@@ -102,6 +134,50 @@ pub fn run() -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stall watcher as it ran before spans: one quantum at a time,
+    /// peeking `COUNT` after every step.
+    fn watch_count_stepped(sys: &mut System, budget: SimTime, stall: SimTime) -> bool {
+        let mut last_count = 0u16;
+        let mut last_change = SimTime::ZERO;
+        while sys.now() < budget {
+            sys.step();
+            let c = sys.device().mem().peek_word(fib::COUNT);
+            if c != last_count {
+                last_count = c;
+                last_change = sys.now();
+            } else if sys.now().since(last_change) > stall {
+                return true;
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn span_stall_watch_matches_the_per_step_loop() {
+        // A short budget keeps the debug build fast. The 30 ms window
+        // fires during the first charge-up (the stall branch); the 2 s
+        // window never fires, so every change is timestamped instead.
+        let budget = SimTime::from_ms(600);
+        for variant in [Variant::Checked, Variant::Guarded] {
+            for stall in [SimTime::from_ms(30), STALL] {
+                let mut spanned = bench(variant);
+                let s = watch_count(&mut spanned, budget, stall);
+                let mut stepped = bench(variant);
+                let t = watch_count_stepped(&mut stepped, budget, stall);
+                let what = format!("{variant:?}, stall window {stall}");
+                assert_eq!(outcome(&spanned, s), outcome(&stepped, t), "{what}");
+                assert_eq!(spanned.now(), stepped.now(), "{what}: stop time");
+                assert_eq!(spanned.state_digest(), stepped.state_digest(), "{what}");
+                assert_eq!(t, stall < STALL, "{what}: stall verdict");
+                assert_eq!(
+                    stepped.device().mem().peek_word(fib::COUNT) > 0,
+                    !t,
+                    "{what}: the main loop runs unless stalled at once"
+                );
+            }
+        }
+    }
 
     #[test]
     fn guards_prevent_starvation() {

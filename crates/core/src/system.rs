@@ -398,40 +398,13 @@ impl System {
 
     /// Advances the bench by one device step.
     pub fn step(&mut self) -> DeviceStep {
-        let now = self.device.now();
+        self.before_quantum();
+        self.step_quantum()
+    }
 
-        // RF world bookkeeping before the step.
-        if let World::Rfid {
-            field,
-            reader,
-            channel,
-            inflight,
-        } = &mut self.world
-        {
-            while let Some(ev) = reader.poll(now) {
-                let frame = channel.transmit(ev.frame);
-                inflight.push((ev.end, frame.bytes));
-            }
-            field.set_modulating(reader.modulating(now));
-            // Deliver frames whose air time has completed.
-            let mut idx = 0;
-            while idx < inflight.len() {
-                if inflight[idx].0 <= now {
-                    let (at, bytes) = inflight.remove(idx);
-                    if self.device.powered() {
-                        for &b in &bytes {
-                            self.device.peripherals.rf.deliver_byte(b);
-                        }
-                    }
-                    if let Some(edb) = &mut self.edb {
-                        edb.observe_rfid(&bytes, true, at);
-                    }
-                } else {
-                    idx += 1;
-                }
-            }
-        }
-
+    /// One device quantum on the per-step path, with the RF world's
+    /// bookkeeping for this instant already done.
+    fn step_quantum(&mut self) -> DeviceStep {
         // Electrical influence of the debugger.
         let states = self.line_states();
         let i_ext = match &mut self.edb {
@@ -443,10 +416,65 @@ impl System {
             World::Harvester(h) => self.device.step(h.as_mut(), i_ext),
             World::Rfid { field, .. } => self.device.step(field, i_ext),
         };
-        let now = self.device.now();
+        self.after_quantum(&step.events, step.power_edge);
+        step
+    }
 
-        // Uplink RF frames.
-        for event in &step.events {
+    /// The RF world's bookkeeping due at the present instant, before the
+    /// next quantum runs: transmit every reader command that is due, set
+    /// the carrier's modulation flag, and deliver the downlink frames
+    /// whose air time has completed.
+    ///
+    /// Returns the next instant at which this would do anything — the
+    /// reader's next wakeup or the earliest in-flight frame end (`None`
+    /// for a harvester world). Strictly before it the call is a no-op,
+    /// which is what lets [`System::advance_span`] batch up to it.
+    fn before_quantum(&mut self) -> Option<SimTime> {
+        let World::Rfid {
+            field,
+            reader,
+            channel,
+            inflight,
+        } = &mut self.world
+        else {
+            return None;
+        };
+        let now = self.device.now();
+        while let Some(ev) = reader.poll(now) {
+            let frame = channel.transmit(ev.frame);
+            inflight.push((ev.end, frame.bytes));
+        }
+        field.set_modulating(reader.modulating(now));
+        let mut idx = 0;
+        while idx < inflight.len() {
+            if inflight[idx].0 <= now {
+                let (at, bytes) = inflight.remove(idx);
+                if self.device.powered() {
+                    for &b in &bytes {
+                        self.device.peripherals.rf.deliver_byte(b);
+                    }
+                }
+                if let Some(edb) = &mut self.edb {
+                    edb.observe_rfid(&bytes, true, at);
+                }
+            } else {
+                idx += 1;
+            }
+        }
+        let next = inflight
+            .iter()
+            .map(|&(end, _)| end)
+            .fold(reader.next_wakeup(now), SimTime::min);
+        Some(next)
+    }
+
+    /// Everything that follows a quantum or a span, on its final
+    /// quantum's events and power edge: uplink RF frames to the reader,
+    /// then the debugger's observation and tick, the checkpoint engine,
+    /// and the recorder.
+    fn after_quantum(&mut self, events: &[DeviceEvent], power_edge: Option<PowerEdge>) {
+        let now = self.device.now();
+        for event in events {
             if let DeviceEvent::RfTx(frame) = event {
                 if let World::Rfid {
                     reader, channel, ..
@@ -465,41 +493,53 @@ impl System {
         }
 
         if let Some(edb) = &mut self.edb {
-            edb.observe(&self.device, &step.events, now);
-            if let Some(edge) = step.power_edge {
+            edb.observe(&self.device, events, now);
+            if let Some(edge) = power_edge {
                 edb.observe_power_edge(&mut self.device, edge, now);
             }
             edb.tick(&mut self.device, now);
         }
 
         if let Some(engine) = &mut self.ckpt {
-            engine.observe(&mut self.device, step.power_edge);
+            engine.observe(&mut self.device, power_edge);
         }
 
-        self.publish_obs(&step.events, step.power_edge);
-
-        step
+        self.publish_obs(events, power_edge);
     }
 
     /// Advances the bench by one *span*: a batch of device quanta that is
     /// bit-identical to calling [`System::step`] in a loop, but skips the
-    /// per-step debugger calls that are provably no-ops in between.
+    /// per-step calls that are provably no-ops in between. The bench
+    /// never runs past `limit` by more than the final quantum, and a
+    /// caller polling ground-truth state between spans sees it exactly
+    /// where a per-step loop would, provided the state only changes on
+    /// what ends a span (a store to the word armed with
+    /// [`edb_mcu::Memory::set_write_watch`], say).
     ///
-    /// The span deadline is the earliest of `limit`, the debugger's next
-    /// wakeup ([`Edb::next_wakeup`] — before it, `Edb::tick` returns
-    /// without touching anything), and the device's next silent
-    /// peripheral deadline ([`Device::next_silent_deadline`] — before
-    /// it, the load model and line states are constant). The device
-    /// additionally breaks the span on any port access, wire event,
-    /// power edge, or CPU state change, so `Edb::observe` (a no-op on
-    /// empty event lists) and the line-state/drain model see every
-    /// change exactly when the per-step loop would.
+    /// The span deadline is the earliest of:
     ///
-    /// The RFID world polls the reader each step, so it falls back to
-    /// [`System::step`].
-    fn advance_span(&mut self, limit: SimTime) {
+    /// * `limit`;
+    /// * the debugger's next wakeup ([`Edb::next_wakeup`] — before it,
+    ///   `Edb::tick` returns without touching anything);
+    /// * the device's next silent peripheral deadline
+    ///   ([`Device::next_silent_deadline`] — before it, the load model
+    ///   and line states are constant);
+    /// * in the RFID world, the reader's next wakeup and the earliest
+    ///   in-flight frame end (before them, the per-step reader poll,
+    ///   modulation flag and frame delivery are no-ops).
+    ///
+    /// The device additionally ends the span on any port write, any port
+    /// read that changes peripheral state, a store to the watched word,
+    /// any wire event, a power edge, or a CPU state change (see
+    /// [`Device::run_span`]), so `Edb::observe` (a no-op on empty event
+    /// lists), the reader's uplink and the line-state/drain model see
+    /// every change exactly when the per-step loop would.
+    pub fn advance_span(&mut self, limit: SimTime) {
         let now = self.device.now();
         let mut deadline = limit;
+        if let Some(t) = self.before_quantum() {
+            deadline = deadline.min(t);
+        }
         if let Some(edb) = &self.edb {
             deadline = deadline.min(edb.next_wakeup());
         }
@@ -519,10 +559,10 @@ impl System {
         // The checkpoint engine wants its per-step hook (instruction
         // triggers, voltage samples, edges), so an attached engine
         // forces the stepped path.
-        if matches!(self.world, World::Rfid { .. }) || self.ckpt.is_some() || deadline <= now {
+        if self.ckpt.is_some() || deadline <= now {
             // No batchable window (e.g. a debugger wakeup due right
             // now): take a single plain step, which handles it.
-            self.step();
+            self.step_quantum();
             return;
         }
 
@@ -537,28 +577,11 @@ impl System {
         };
         let span = match world {
             World::Harvester(h) => device.run_span(h.as_mut(), &mut i_ext, deadline),
-            World::Rfid { .. } => unreachable!("RFID handled above"),
+            World::Rfid { field, .. } => device.run_span(field, &mut i_ext, deadline),
         };
-        let now = self.device.now();
-
-        // Identical post-step observation flow: events only occur on the
-        // span's final quantum, so timestamps match the per-step loop.
-        for event in &span.events {
-            if let DeviceEvent::RfTx(frame) = event {
-                if let Some(edb) = &mut self.edb {
-                    edb.observe_rfid(&frame.bytes, false, frame.at);
-                }
-            }
-        }
-        if let Some(edb) = &mut self.edb {
-            edb.observe(&self.device, &span.events, now);
-            if let Some(edge) = span.power_edge {
-                edb.observe_power_edge(&mut self.device, edge, now);
-            }
-            edb.tick(&mut self.device, now);
-        }
-
-        self.publish_obs(&span.events, span.power_edge);
+        // Events only occur on the span's final quantum, so timestamps
+        // match the per-step loop.
+        self.after_quantum(&span.events, span.power_edge);
     }
 
     /// Runs the bench for `duration` of simulated time.
@@ -1625,5 +1648,80 @@ mod tests {
         );
         assert!(a.device().turn_ons() >= 1, "workload must actually run");
         assert!(ea.log().len() > 10, "workload must actually log events");
+    }
+
+    #[test]
+    fn batched_rfid_run_for_is_bit_identical_to_stepping() {
+        // Figure 12's bench: the RFID firmware spinning on the RX status
+        // port, powered and addressed by the reader, at the three sweep
+        // distances. Spans now batch up to the reader's horizon, so the
+        // reader schedule, downlink delivery, uplink replies (and the
+        // channel RNG behind them) must all land exactly as stepped.
+        use edb_apps::rfid_fw;
+        let device_config = DeviceConfig {
+            i_active: 0.95e-3,
+            ..DeviceConfig::wisp5()
+        };
+        let reader_config = edb_rfid::ReaderConfig {
+            query_period: SimTime::from_ms(260),
+            rep_gap: SimTime::from_ms(65),
+            reps_per_round: 3,
+            ..edb_rfid::ReaderConfig::paper_setup()
+        };
+        let end = SimTime::from_ms(900);
+        for distance in [1.0, 1.3, 1.6] {
+            let build = || {
+                let mut sys = System::builder(device_config)
+                    .rfid(distance)
+                    .reader_config(reader_config)
+                    .seed(2024)
+                    .build();
+                sys.flash(&rfid_fw::image());
+                sys
+            };
+            let mut a = build();
+            while a.now() < end {
+                a.step();
+            }
+            let mut b = build();
+            b.run_for(end);
+
+            let at = format!("{distance} m");
+            assert_eq!(a.now(), b.now(), "{at}");
+            assert_eq!(a.state_digest(), b.state_digest(), "{at}: state digest");
+            let (la, lb) = (a.edb().unwrap().log(), b.edb().unwrap().log());
+            assert_eq!(
+                la.events(),
+                lb.events(),
+                "{at}: EDB log, timestamps included"
+            );
+            let (ra, rb) = (a.reader().unwrap(), b.reader().unwrap());
+            assert_eq!(ra.commands_sent(), rb.commands_sent(), "{at}: commands");
+            assert_eq!(ra.replies_ok(), rb.replies_ok(), "{at}: clean replies");
+            assert_eq!(
+                ra.replies_corrupt(),
+                rb.replies_corrupt(),
+                "{at}: corrupt replies"
+            );
+            assert_eq!(
+                rfid_fw::read_stats(a.device().mem()),
+                rfid_fw::read_stats(b.device().mem()),
+                "{at}: firmware counters"
+            );
+            assert_eq!(a.device().turn_ons(), b.device().turn_ons(), "{at}");
+            assert_eq!(a.device().reboots(), b.device().reboots(), "{at}");
+
+            // The window must exercise what it claims to (at 1.6 m the
+            // tag is still on its first charge-up this early).
+            assert!(
+                distance > 1.5 || a.device().reboots() >= 1,
+                "{at}: no brown-out"
+            );
+            assert!(distance > 1.5 || ra.replies_ok() >= 1, "{at}: no uplink");
+            assert!(ra.commands_sent() >= 4, "{at}: reader idle");
+            let kinds = |tag| la.with_tag(tag).count();
+            assert!(kinds("rfid") >= 4, "{at}: no RFID frames logged");
+            assert!(kinds("energy") >= 1, "{at}: no energy samples logged");
+        }
     }
 }

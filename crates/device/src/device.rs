@@ -417,8 +417,11 @@ impl Device {
     /// * the deadline (callers cap it with the next debugger wakeup and
     ///   [`Device::next_silent_deadline`], so the load model and
     ///   observer state stay exact);
-    /// * any port access (`in`/`out` can change peripheral currents,
-    ///   wire states, and RF bookkeeping);
+    /// * any port write, and any port read that changes peripheral state
+    ///   (`RF_RX_DATA` and `DBG_UART_RX` pop a FIFO, `ADC_SELF` starts a
+    ///   conversion, `TIMER_LO` latches the high word) — status and level
+    ///   reads do not break the span;
+    /// * a store to the word armed with [`Memory::set_write_watch`];
     /// * any wire-observable event, a power edge, or the CPU leaving
     ///   the running state.
     ///
@@ -439,6 +442,8 @@ impl Device {
         let mut power_edge = None;
         let mut i_load_cache = 0.0;
         let mut have_i_load = false;
+        // A hit left over from before the span is not this span's to report.
+        self.mem.take_write_watch_hit();
 
         while self.now < deadline {
             let powered = self.supervisor.powered();
@@ -464,6 +469,9 @@ impl Device {
                     }
                     o
                 };
+                if self.mem.take_write_watch_hit() {
+                    stop = true;
+                }
                 if outcome.retired.is_some() {
                     self.total_instructions += 1;
                     retired = outcome.retired;
@@ -596,14 +604,20 @@ struct BusCtx<'a> {
     v_cap: f64,
     cycles: u64,
     marker_mask: u16,
-    /// Set on any `in`/`out`: port traffic may change peripheral state
-    /// (and thus the load model), so a batched span must end here.
+    /// Set on every `out` and on the `in`s that change peripheral state
+    /// (FIFO pops, the self-ADC, the timer latch): the load model or a
+    /// wire may have moved, so a batched span must end here. Status and
+    /// level reads are pure — their value depends only on the time and
+    /// on state that changes at a span boundary — so they leave it clear.
     touched: bool,
 }
 
 impl PortBus for BusCtx<'_> {
     fn port_in(&mut self, port: u8) -> u16 {
-        self.touched = true;
+        self.touched |= matches!(
+            port,
+            ports::DBG_UART_RX | ports::ADC_SELF | ports::TIMER_LO | ports::RF_RX_DATA
+        );
         match port {
             ports::GPIO_OUT => self.peripherals.gpio.read(),
             ports::GPIO_IN => 0,
@@ -958,7 +972,8 @@ main:
     fn run_span_is_bit_identical_to_stepping() {
         // A workload that exercises the span breakers: port traffic
         // (UART bytes, ADC self-samples, code markers), intermittent
-        // power edges, and silent peripheral deadlines.
+        // power edges, and silent peripheral deadlines — plus a spin on
+        // status reads, which must *not* break spans.
         let image = assemble(
             r#"
             .org 0x4400
@@ -972,6 +987,8 @@ main:
                 movi r0, 0x41
                 out  0x08, r0      ; UART byte (86.8 us busy window)
             spin:
+                in   r4, 0x13      ; RF_RX_STATUS (pure read)
+                in   r5, 0x09      ; UART_STATUS (pure read, busy bit moves)
                 add  r1, 1
                 cmpi r1, 400
                 jnz  spin
@@ -996,17 +1013,20 @@ main:
         b.flash(&image);
         let mut src_b = TheveninSource::new(3.2, 1500.0);
         let mut events_b = 0usize;
+        let mut longest_span = 0;
         while b.now() < end {
             let mut cap = end;
             if let Some(t) = b.next_silent_deadline() {
                 cap = cap.min(t);
             }
+            let before = b.total_instructions();
             let span = if cap > b.now() {
                 b.run_span(&mut src_b, &mut |_| 0.0, cap)
             } else {
                 b.step(&mut src_b, 0.0)
             };
             events_b += span.events.len();
+            longest_span = longest_span.max(b.total_instructions() - before);
         }
 
         assert_eq!(
@@ -1026,6 +1046,12 @@ main:
         );
         assert!(a.reboots() >= 1, "workload must actually be intermittent");
         assert!(events_a > 100, "workload must actually emit events");
+        // One spin iteration is five instructions with two status reads;
+        // a span of more than two iterations ran straight through them.
+        assert!(
+            longest_span > 10,
+            "status reads must not break spans (longest span: {longest_span} instructions)"
+        );
     }
 
     #[test]

@@ -11,16 +11,20 @@
 //!    per-step integration vs. `run_span` batching, and per-step with
 //!    the cache vs. per-step cold decode. Capacitor voltage is compared
 //!    to the last bit, along with every wire-observable event.
-//! 3. **`system`** — the whole bench with EDB attached:
-//!    `System::run_for` (batched `advance_span` underneath) vs. a
+//! 3. **`system`** — the whole bench with EDB attached, powered by a
+//!    seeded harvester or by an RFID reader at a seeded distance and
+//!    inventory schedule: `System::run_for` (batched `advance_span`
+//!    underneath, up to the reader horizon in the RFID world) vs. a
 //!    manual `step()` loop, compared on energy, time, instruction and
-//!    reboot counts, and the debugger's own observations.
+//!    reboot counts, the debugger's own observations (every log entry
+//!    with its timestamp), and the reader's counters.
 
 use crate::gen::Program;
 use edb_device::{Device, DeviceConfig, DeviceEvent};
 use edb_energy::{Fading, Harvester, PulsedSource, SimTime, TheveninSource};
 use edb_mcu::asm::assemble;
 use edb_mcu::{Cpu, CpuState, Image, Memory, PortBus};
+use edb_rfid::ReaderConfig;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -456,8 +460,24 @@ pub fn diff_device(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence>
     compare_device_traces("cached-vs-cold", &stepped, &cold)
 }
 
+/// Draws an RFID world for the `system` arm: reader distance and an
+/// inventory schedule dense enough that a few-millisecond window sees
+/// several commands, with frames that can outlast the gap to the next
+/// command (so the reader horizon is sometimes the frame end).
+fn draw_rfid_world(rng: &mut SmallRng) -> (f64, ReaderConfig) {
+    let distance_m = rng.gen_range(0.5f64..1.8);
+    let config = ReaderConfig {
+        query_period: SimTime::from_us(rng.gen_range(2_000u64..12_000)),
+        rep_gap: SimTime::from_us(rng.gen_range(300u64..4_000)),
+        reps_per_round: rng.gen_range(0u32..5),
+        byte_time: SimTime::from_us(rng.gen_range(20u64..400)),
+        session: rng.gen_range(0u8..4),
+    };
+    (distance_m, config)
+}
+
 /// Arm 3: the whole system with EDB attached — `run_for` (batched) vs.
-/// a manual step loop.
+/// a manual step loop, in a harvester or an RFID world.
 pub fn diff_system(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence> {
     use edb_core::System;
     let image = match assemble_program(prog) {
@@ -467,13 +487,16 @@ pub fn diff_system(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence>
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x5E_57_E4);
     let spec = HarvesterSpec::draw(&mut rng);
     let v0 = rng.gen_range(2.0f64..2.6);
+    let rfid = rng.gen_bool(0.5).then(|| draw_rfid_world(&mut rng));
     let end = SimTime::from_ms(sim_ms);
 
     let build = || {
-        let mut sys = System::builder(DeviceConfig::wisp5())
-            .harvester(spec.build())
-            .seed(seed)
-            .build();
+        let builder = System::builder(DeviceConfig::wisp5()).seed(seed);
+        let builder = match rfid {
+            Some((distance_m, config)) => builder.rfid(distance_m).reader_config(config),
+            None => builder.harvester(spec.build()),
+        };
+        let mut sys = builder.build();
         sys.flash(&image);
         sys.device_mut().set_v_cap(v0);
         sys
@@ -531,11 +554,28 @@ pub fn diff_system(prog: &Program, seed: u64, sim_ms: u64) -> Option<Divergence>
         a.edb().expect("edb attached"),
         b.edb().expect("edb attached"),
     );
-    if ea.log().len() != eb.log().len() {
+    if ea.log().events() != eb.log().events() {
+        let (la, lb) = (ea.log().events(), eb.log().events());
+        let at = la
+            .iter()
+            .zip(lb)
+            .position(|(x, y)| x != y)
+            .unwrap_or_else(|| la.len().min(lb.len()));
         return Some(d(
-            "EDB event log length",
-            ea.log().len().to_string(),
-            eb.log().len().to_string(),
+            "EDB event log",
+            format!("{} entries (first mismatch #{at})", la.len()),
+            format!("{} entries", lb.len()),
+        ));
+    }
+    let reader_counts = |s: &System| {
+        s.reader()
+            .map(|r| (r.commands_sent(), r.replies_ok(), r.replies_corrupt()))
+    };
+    if reader_counts(&a) != reader_counts(&b) {
+        return Some(d(
+            "reader (commands, clean replies, corrupt replies)",
+            format!("{:?}", reader_counts(&a)),
+            format!("{:?}", reader_counts(&b)),
         ));
     }
     if ea.last_reading().to_bits() != eb.last_reading().to_bits() {

@@ -264,13 +264,16 @@ pub fn generate(seed: u64) -> Program {
                 };
                 ops.push(format!("{cond} b{target}"));
             }
-            // Port writes: GPIO, code markers, UART — the events that
-            // break integration spans — plus the odd unmapped port.
+            // Port writes: GPIO, code markers, UART, RF backscatter — the
+            // events that break integration spans — plus the odd
+            // unmapped port.
             73..=80 => {
-                let (port, val): (u8, u16) = match rng.gen_range(0u32..4) {
+                let (port, val): (u8, u16) = match rng.gen_range(0u32..6) {
                     0 => (0x00, rng.gen_range(0u16..16)),      // GPIO_OUT
                     1 => (0x02, rng.gen_range(1u16..4)),       // CODE_MARKER
                     2 => (0x08, rng.gen_range(0x20u16..0x7F)), // UART_TX
+                    3 => (0x14, rng.gen_range(0u16..0x100)),   // RF_TX_DATA
+                    4 => (0x15, 1),                            // RF_TX_CTRL
                     _ => (rng.gen_range(0x20u8..0x80), rng.gen()),
                 };
                 ops.push(format!("movi r12, {val:#x}"));
@@ -279,14 +282,18 @@ pub fn generate(seed: u64) -> Program {
                 }
                 ops.push(format!("out {port:#04x}, r12"));
             }
-            // Port reads: status registers, timer, and the self-ADC
-            // (50 µs busy window — a silent span deadline).
+            // Port reads: the self-ADC (50 µs busy window — a silent
+            // span deadline), the timer, the RF receive FIFO — the reads
+            // that break spans — and the pure status reads that do not.
             81..=86 => {
-                let port: u8 = match rng.gen_range(0u32..5) {
+                let port: u8 = match rng.gen_range(0u32..8) {
                     0 => 0x0A, // ADC_SELF
                     1 => 0x01, // GPIO_IN
                     2 => 0x09, // UART_STATUS
                     3 => 0x0B, // TIMER_LO
+                    4 => 0x12, // RF_RX_DATA
+                    5 => 0x13, // RF_RX_STATUS
+                    6 => 0x07, // DBG_UART_STATUS
                     _ => 0x0C, // TIMER_HI
                 };
                 ops.push(format!("in r{}, {port:#04x}", reg(&mut rng)));

@@ -142,6 +142,26 @@ impl Deserialize for DecodeCache {
     }
 }
 
+/// A one-word write watch: a hit flag raised by any store to either byte
+/// of the watched word. Span-batching callers arm it on a word they poll
+/// (a progress counter, say) so a batched run ends on the quantum that
+/// writes it instead of stepping one instruction at a time to notice.
+///
+/// Like the decode cache it is bench plumbing, not target state: it is
+/// never serialized (so snapshots, digests and recordings do not move),
+/// and it deserializes disarmed.
+#[derive(Clone, Copy, Default)]
+struct WriteWatch {
+    addr: Option<u16>,
+    hit: bool,
+}
+
+impl Deserialize for WriteWatch {
+    fn from_value(_: &serde::Value) -> Result<Self, serde::DeError> {
+        Ok(WriteWatch::default())
+    }
+}
+
 /// The target's memory: SRAM that dies with power and FRAM that survives.
 ///
 /// # Example
@@ -168,12 +188,15 @@ pub struct Memory {
     // predate the field (the serializer below omits the key, and a
     // missing key deserializes as `None`).
     dirty_sram: Option<Vec<u64>>,
+    // Never serialized (see `WriteWatch`).
+    watch: WriteWatch,
 }
 
 // Hand-written so the `dirty_sram` key is absent (not `null`) when
 // tracking is off: recordings and state digests taken without a
 // differential strategy must stay byte-identical to the derived layout
-// this replaces. Field order matches the struct declaration.
+// this replaces. Field order matches the struct declaration; the write
+// watch is transient and never written.
 impl Serialize for Memory {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
@@ -218,6 +241,7 @@ impl Memory {
             last_fault_addr: None,
             decode_cache: DecodeCache::default(),
             dirty_sram: None,
+            watch: WriteWatch::default(),
         }
     }
 
@@ -332,13 +356,39 @@ impl Memory {
                 let word = ((addr - SRAM_START) / 2) as usize;
                 bits[word >> 6] |= 1u64 << (word & 63);
             }
-            self.invalidate_decode(addr);
+            self.probe_write(addr);
         } else if Self::is_fram(addr) {
             self.fram[(addr - FRAM_START) as usize] = value;
-            self.invalidate_decode(addr);
+            self.probe_write(addr);
         } else {
             self.note_fault(addr);
         }
+    }
+
+    /// The write probe every mapped store passes through: decode-cache
+    /// invalidation and the write watch.
+    #[inline]
+    fn probe_write(&mut self, addr: u16) {
+        self.invalidate_decode(addr);
+        if let Some(watched) = self.watch.addr {
+            if addr.wrapping_sub(watched) < 2 {
+                self.watch.hit = true;
+            }
+        }
+    }
+
+    /// Arms the write watch on the word at `addr` (bytes `addr` and
+    /// `addr + 1`), or disarms it with `None`. Either way the hit flag
+    /// starts clear.
+    pub fn set_write_watch(&mut self, addr: Option<u16>) {
+        self.watch = WriteWatch { addr, hit: false };
+    }
+
+    /// Whether a store hit the watched word since the last call, clearing
+    /// the flag.
+    #[inline]
+    pub fn take_write_watch_hit(&mut self) -> bool {
+        std::mem::take(&mut self.watch.hit)
     }
 
     /// Reads a little-endian word. The address wraps at the 64 KiB
@@ -761,6 +811,58 @@ mod tests {
         // And a disarmed snapshot reads back disarmed.
         let back = Memory::from_value(&clean).unwrap();
         assert!(!back.dirty_tracking());
+    }
+
+    #[test]
+    fn write_watch_fires_on_either_byte_of_the_watched_word() {
+        for watched in [0x1C10u16, 0x6004] {
+            let mut mem = Memory::new();
+            mem.set_write_watch(Some(watched));
+            assert!(!mem.take_write_watch_hit(), "armed clear");
+            // Neighbours on both sides never fire, byte or word.
+            mem.write_byte(watched - 1, 1);
+            mem.write_byte(watched + 2, 1);
+            mem.write_word(watched + 2, 1);
+            mem.write_word(watched - 2, 1);
+            assert!(
+                !mem.take_write_watch_hit(),
+                "neighbour writes at {watched:#x}"
+            );
+            type Store = fn(&mut Memory, u16);
+            let writes: [(&str, Store); 6] = [
+                ("low byte", |m, a| m.write_byte(a, 7)),
+                ("high byte", |m, a| m.write_byte(a + 1, 7)),
+                ("aligned word", |m, a| m.write_word(a, 7)),
+                ("word over the low byte", |m, a| m.write_word(a - 1, 7)),
+                ("word over the high byte", |m, a| m.write_word(a + 1, 7)),
+                ("debugger poke", |m, a| m.poke_word(a, 7)),
+            ];
+            for (what, write) in writes {
+                write(&mut mem, watched);
+                assert!(mem.take_write_watch_hit(), "{what} at {watched:#x}");
+                assert!(!mem.take_write_watch_hit(), "{what}: cleared when taken");
+            }
+            mem.set_write_watch(None);
+            mem.write_word(watched, 9);
+            assert!(!mem.take_write_watch_hit(), "disarmed");
+        }
+    }
+
+    #[test]
+    fn write_watch_is_not_serialized() {
+        let mut plain = Memory::new();
+        plain.write_word(0x6004, 3);
+        let mut watched = plain.clone();
+        watched.set_write_watch(Some(0x6004));
+        watched.write_word(0x6004, 3);
+        assert_eq!(
+            plain.to_value(),
+            watched.to_value(),
+            "an armed (and hit) watch leaves the serialized state unchanged"
+        );
+        let mut back = Memory::from_value(&watched.to_value()).unwrap();
+        back.write_word(0x6004, 4);
+        assert!(!back.take_write_watch_hit(), "deserializes disarmed");
     }
 
     #[test]

@@ -87,8 +87,11 @@ pub struct ReaderEvent {
 
 /// The inventory state machine.
 ///
-/// Drive it with [`Reader::poll`] once per simulation slice; feed tag
-/// replies back with [`Reader::on_reply`].
+/// The reader is event-scheduled: [`Reader::poll`] drains every
+/// transmission due at or before a given instant, and
+/// [`Reader::next_wakeup`] names the next instant at which polling or
+/// the modulation flag can change anything, so a simulation may batch
+/// freely up to it. Feed tag replies back with [`Reader::on_reply`].
 ///
 /// # Example
 ///
@@ -139,6 +142,19 @@ impl Reader {
     /// derates slightly while this is true).
     pub fn modulating(&self, now: SimTime) -> bool {
         now < self.tx_end
+    }
+
+    /// The next instant at which the reader's observable state changes,
+    /// as seen from `now` after [`Reader::poll`] has drained everything
+    /// due: the next transmission, or the end of the frame on the air if
+    /// that comes first. Strictly before it, `poll` returns `None` and
+    /// [`Reader::modulating`] is constant.
+    pub fn next_wakeup(&self, now: SimTime) -> SimTime {
+        if now < self.tx_end {
+            self.next_tx.min(self.tx_end)
+        } else {
+            self.next_tx
+        }
     }
 
     /// Advances the schedule; returns a transmission if one starts at or
@@ -333,6 +349,29 @@ mod tests {
         let truncated = r.try_on_reply(&bad[..2]).expect_err("short frame");
         assert_eq!(truncated.failure, DecodeFailure::BadLength);
         assert_eq!(r.replies_corrupt(), 2);
+    }
+
+    #[test]
+    fn next_wakeup_bounds_every_observable_change() {
+        // Walk the schedule in 100 µs slices: between wakeups, polling
+        // is silent and the modulation flag holds.
+        let mut r = Reader::new(ReaderConfig::paper_setup());
+        let mut t = SimTime::ZERO;
+        let mut wakeup = SimTime::ZERO;
+        let mut modulating = false;
+        let mut sent = 0;
+        while sent < 8 {
+            let polled = std::iter::from_fn(|| r.poll(t)).count();
+            if t < wakeup {
+                assert_eq!(polled, 0, "transmission before the wakeup at {t}");
+                assert_eq!(r.modulating(t), modulating, "flag flipped before {wakeup}");
+            }
+            sent += polled;
+            modulating = r.modulating(t);
+            wakeup = r.next_wakeup(t);
+            assert!(wakeup > t, "the wakeup lies in the future");
+            t = t.advance_ns(100_000);
+        }
     }
 
     #[test]
