@@ -39,12 +39,9 @@ use std::time::Instant;
 /// randomness never depends on scheduling, thread count, or the other
 /// experiments in the run.
 pub fn seed_for(root_seed: u64, experiment: &str, trial: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in experiment.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    let mut z = h
+    let mut h = edb_replay::Fnv::new();
+    h.write(experiment.as_bytes());
+    let mut z = h.finish()
         ^ root_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ trial.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

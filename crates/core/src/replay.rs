@@ -1222,6 +1222,29 @@ mod tests {
         (s, spec)
     }
 
+    /// Memory images travel as byte strings, yet no byte of a tape or
+    /// digest moved: these values were produced when every image byte
+    /// was its own `U64` tree node.
+    #[test]
+    fn recorded_assert_session_tape_and_digest_are_pinned() {
+        let (mut s, _) = recorded_run(3);
+        let live = s.export_recording().expect("recording").to_bytes();
+        assert_eq!(live.len(), 1_385_376);
+        assert_eq!(edb_replay::fnv1a(&live), 0x682f_54a1_4fe6_bb52);
+        assert_eq!(s.system().state_digest(), 0xf6e7_9b8b_9d20_8536);
+        let rec = s.stop_recording().expect("recording");
+        assert_eq!(rec.snapshot_count(), 4);
+        let bytes = rec.to_bytes();
+        assert_eq!(bytes.len(), 1_858_996);
+        assert_eq!(edb_replay::fnv1a(&bytes), 0x837d_491b_aac9_d9e7);
+        // The decoded tape holds `Seq`s where the live one held bytes;
+        // the two compare equal and verify alike.
+        let back = Recording::from_bytes(&bytes).expect("parses");
+        assert_eq!(back, rec);
+        assert_eq!(back.to_bytes(), bytes);
+        assert!(verify(&back).is_ok());
+    }
+
     #[test]
     fn recording_replays_divergence_free() {
         for stride in [1, 3, 64] {

@@ -3,7 +3,7 @@
 //! ```text
 //! fuzz_smoke [--seed S] [--threads N] [--cases N] [--sessions N]
 //!            [--strategies [N]] [--analyze [N]] [--max-shrink-steps N]
-//!            [--replay-seed S] [--record-reproducers]
+//!            [--container [N]] [--replay-seed S] [--record-reproducers]
 //! ```
 //!
 //! Runs `--cases` generated programs (default 100) through every
@@ -35,6 +35,14 @@
 //! to `target/fuzz-artifacts/`. An optional value sets the trial count
 //! (default 200).
 //!
+//! `--container` fuzzes the recording container: each trial applies
+//! seeded bit flips, splices, inflated length fields and deep nesting to
+//! a recorded `.edbr` tape and requires `Recording::from_bytes` to
+//! return a recording or a typed error, never panic or abort. A failing
+//! mutation list is ddmin-shrunk and written to
+//! `target/fuzz-artifacts/container-<seed>.edbr` with a `.txt` note. An
+//! optional value sets the trial count (default 200).
+//!
 //! `--replay-seed` re-runs a single case seed (as printed in an
 //! artifact header) verbosely and skips the batch.
 //!
@@ -45,7 +53,8 @@
 
 use edb_bench::runner::Cli;
 use edb_fuzz::{
-    artifact, check_program, fault, gen, race, run_case, session, shrink, soundness, FuzzConfig,
+    artifact, check_program, container, fault, gen, race, run_case, session, shrink, soundness,
+    FuzzConfig,
 };
 
 /// Pulls `--name <value>` (decimal or `0x` hex) out of raw argv;
@@ -151,12 +160,17 @@ fn main() {
         .into_iter()
         .flatten()
         .collect();
+    let container_trials = optional_count_arg("--container", 200).unwrap_or(0);
+    let container_results = runner.map_trials("fuzz/container", container_trials, |ctx| {
+        container::run_container_case(ctx.seed)
+    });
     let wall = t0.elapsed().as_secs_f64();
 
     println!(
         "fuzz_smoke: {cases} differential case(s) + {ckpt_cases} checkpoint round-trip(s) \
          + {sessions} session trial(s) + {strategy_trials} strategy race(s) \
-         + {analyze_trials} analyzer soundness case(s) in {wall:.1}s"
+         + {analyze_trials} analyzer soundness case(s) \
+         + {container_trials} container trial(s) in {wall:.1}s"
     );
 
     let mut session_failures = 0usize;
@@ -196,8 +210,7 @@ fn main() {
         let suite = race::kernels();
         let kernel = &suite[(*seed as usize) % suite.len()];
         let schedule = race::generate_schedule(*seed);
-        let (min, best) =
-            race::shrink_schedule(&schedule, div.clone(), |s| race::check_race_on(kernel, s));
+        let (min, best) = shrink::ddmin(&schedule, div.clone(), |s| race::check_race_on(kernel, s));
         println!(
             "  shrunk {} -> {} cut(s): {best}",
             schedule.len(),
@@ -250,6 +263,8 @@ fn main() {
         }
     }
 
+    let container_failures = report_container(&container_results);
+
     for seed in &ckpt_failures {
         // Re-derive the divergence for the report (cheap relative to the run).
         if let Some(d) = fault::checkpoint_round_trip(*seed) {
@@ -294,11 +309,82 @@ fn main() {
         && session_failures == 0
         && strategy_failures.is_empty()
         && analyze_failures.is_empty()
+        && container_failures == 0
     {
         println!("  OK: zero divergences");
     } else {
         std::process::exit(1);
     }
+}
+
+/// Prints the container campaign's verdict counts and outcome digest
+/// (thread-invariant), shrinks and writes the first failure. Returns the
+/// number of failing trials.
+fn report_container(results: &[Result<container::Verdict, container::ContainerFailure>]) -> usize {
+    if results.is_empty() {
+        return 0;
+    }
+    let mut digest = edb_replay::Fnv::new();
+    let (mut parsed, mut rejected) = (0usize, 0usize);
+    let mut failures = Vec::new();
+    for result in results {
+        match result {
+            Ok(container::Verdict::Parsed(h)) => {
+                parsed += 1;
+                digest.write(&[1]);
+                digest.write(&h.to_le_bytes());
+            }
+            Ok(container::Verdict::Rejected(at)) => {
+                rejected += 1;
+                digest.write(&[2]);
+                digest.write(&(*at as u64).to_le_bytes());
+            }
+            Err(failure) => failures.push(failure),
+        }
+    }
+    println!(
+        "  container: {parsed} parsed, {rejected} rejected (typed), {} failed; digest {:#018x}",
+        failures.len(),
+        digest.finish()
+    );
+    let Some(first) = failures.first() else {
+        return 0;
+    };
+    println!(
+        "  FAIL: {} container failure(s); ddmin-shrinking seed {:#x}: {}",
+        failures.len(),
+        first.seed,
+        first.divergence
+    );
+    let (min, best) = shrink::ddmin(&first.mutations, first.divergence.clone(), |m| {
+        container::check_mutations(first.base, m).err()
+    });
+    println!(
+        "  shrunk {} -> {} mutation(s): {best}",
+        first.mutations.len(),
+        min.len()
+    );
+    let dir = std::path::PathBuf::from(artifact::ARTIFACT_DIR);
+    let _ = std::fs::create_dir_all(&dir);
+    let tapes = container::base_tapes();
+    let bytes = container::apply(&tapes[first.base], &tapes[1 - first.base], &min);
+    let stem = dir.join(format!("container-{:#x}", first.seed));
+    let note = format!(
+        "edb-fuzz container reproducer\ncase seed : {:#018x}\nbase tape : {}\n\
+         divergence: {best}\nmutations : {min:?}\n",
+        first.seed,
+        ["session", "fleet"][first.base]
+    );
+    for (path, contents) in [
+        (stem.with_extension("edbr"), bytes),
+        (stem.with_extension("txt"), note.into_bytes()),
+    ] {
+        match std::fs::write(&path, contents) {
+            Ok(()) => println!("  wrote {}", path.display()),
+            Err(e) => eprintln!("fuzz: cannot write {}: {e}", path.display()),
+        }
+    }
+    failures.len()
 }
 
 /// Re-runs one case seed with the full program listing on stdout.

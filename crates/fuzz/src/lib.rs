@@ -30,6 +30,10 @@
 //!   framed command sequences through a noisy debug UART with
 //!   mid-exchange brown-outs, asserting every command either completes
 //!   with the true memory value or aborts with a typed `EdbError`;
+//! * [`container`] — a recording-container fuzzer that bit-flips,
+//!   splices, inflates length fields in and deeply nests recorded
+//!   `.edbr` tapes, asserting the parser returns a recording or a typed
+//!   error and never panics or aborts;
 //! * [`soundness`] — an analyzer-soundness fuzzer that generates
 //!   bounded-by-construction programs and asserts no simulated
 //!   execution, under any harvest trace, exceeds `edb-analyze`'s static
@@ -45,6 +49,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod artifact;
+pub mod container;
 pub mod diff;
 pub mod fault;
 pub mod gen;

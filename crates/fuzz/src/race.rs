@@ -19,8 +19,8 @@
 //!   oracle answer — or the strategy corrupted a restore.
 //!
 //! A divergence is minimized by ddmin over the injection schedule
-//! ([`shrink_schedule`]): the smallest set of cuts that still breaks
-//! the race is the bug report.
+//! ([`crate::shrink::ddmin`] with [`check_race_on`]): the smallest set
+//! of cuts that still breaks the race is the bug report.
 //!
 //! [`Differential`]: StrategyKind::Differential
 //! [`FullDump`]: StrategyKind::FullDump
@@ -425,45 +425,6 @@ pub fn check_race_on(kernel: &RaceKernel, schedule: &[Cut]) -> Option<Divergence
     None
 }
 
-/// ddmin over the injection schedule: the smallest subset of cuts for
-/// which `check` still reports a divergence. Returns the minimized
-/// schedule and its divergence. Call with
-/// `|s| check_race_on(kernel, s)` to minimize a real failure.
-pub fn shrink_schedule(
-    schedule: &[Cut],
-    divergence: Divergence,
-    check: impl Fn(&[Cut]) -> Option<Divergence>,
-) -> (Vec<Cut>, Divergence) {
-    let mut current: Vec<Cut> = schedule.to_vec();
-    let mut best = divergence;
-    let mut chunk = (current.len() / 2).max(1);
-    loop {
-        let mut removed_any = false;
-        let mut start = 0;
-        while start < current.len() && current.len() > 1 {
-            let mut candidate = current.clone();
-            let end = (start + chunk).min(candidate.len());
-            candidate.drain(start..end);
-            if let Some(d) = check(&candidate) {
-                current = candidate;
-                best = d;
-                removed_any = true;
-                // Re-test from the same position in the shorter list.
-            } else {
-                start += chunk;
-            }
-        }
-        if chunk == 1 {
-            if !removed_any {
-                break;
-            }
-        } else if !removed_any {
-            chunk /= 2;
-        }
-    }
-    (current, best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -500,7 +461,7 @@ mod tests {
                 .then(|| Divergence::new("strategy", "synthetic"))
         };
         let seed_div = check(&schedule).expect("diverges with poison present");
-        let (min, _) = shrink_schedule(&schedule, seed_div, check);
+        let (min, _) = crate::shrink::ddmin(&schedule, seed_div, check);
         assert_eq!(min, vec![poison]);
     }
 }

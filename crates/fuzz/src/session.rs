@@ -24,6 +24,7 @@ use edb_core::debugger::SessionOutcome;
 use edb_core::{ChannelFaultConfig, DebugRequest, EdbError, SessionPoll, System};
 use edb_device::DeviceConfig;
 use edb_energy::{SimTime, TheveninSource};
+use edb_replay::Fnv;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,26 +75,13 @@ pub struct SessionStats {
     pub digest: u64,
 }
 
-/// FNV-1a offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds `bytes` into an FNV-1a accumulator.
-pub fn fnv_fold(mut acc: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        acc = (acc ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-    }
-    acc
-}
-
 /// Combines per-trial digests (in trial order) into a run digest.
 pub fn combine_digests(digests: impl IntoIterator<Item = u64>) -> u64 {
-    let mut acc = FNV_OFFSET;
+    let mut acc = Fnv::new();
     for d in digests {
-        acc = fnv_fold(acc, &d.to_le_bytes());
+        acc.write(&d.to_le_bytes());
     }
-    acc
+    acc.finish()
 }
 
 /// The target firmware: refill the FRAM window, then fail an assertion
@@ -175,10 +163,8 @@ pub fn run_session_case(seed: u64, cfg: &SessionConfig) -> Result<SessionStats, 
         return Err(Divergence::new("session", "assert session never opened"));
     }
 
-    let mut stats = SessionStats {
-        digest: FNV_OFFSET,
-        ..SessionStats::default()
-    };
+    let mut stats = SessionStats::default();
+    let mut digest = Fnv::new();
     for cmd_ix in 0..cfg.commands {
         // A brown-out (injected or otherwise) tears the session down;
         // the target reboots, refills the window, and re-asserts.
@@ -266,14 +252,14 @@ pub fn run_session_case(seed: u64, cfg: &SessionConfig) -> Result<SessionStats, 
                 match sys.edb().and_then(|e| e.last_outcome()) {
                     Some(SessionOutcome::Retried { retries }) => {
                         stats.retried += 1;
-                        stats.digest = fnv_fold(stats.digest, &[2, *retries as u8]);
+                        digest.write(&[2, *retries as u8]);
                     }
                     _ => {
                         stats.completed += 1;
-                        stats.digest = fnv_fold(stats.digest, &[1]);
+                        digest.write(&[1]);
                     }
                 }
-                stats.digest = fnv_fold(stats.digest, &word.to_le_bytes());
+                digest.write(&word.to_le_bytes());
             }
             Err(error) => {
                 // Any typed error is a clean abort; encode its shape.
@@ -284,10 +270,11 @@ pub fn run_session_case(seed: u64, cfg: &SessionConfig) -> Result<SessionStats, 
                     _ => 6,
                 };
                 stats.aborted += 1;
-                stats.digest = fnv_fold(stats.digest, &[code]);
+                digest.write(&[code]);
             }
         }
     }
+    stats.digest = digest.finish();
     Ok(stats)
 }
 

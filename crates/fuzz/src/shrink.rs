@@ -79,6 +79,45 @@ pub fn shrink(
     }
 }
 
+/// ddmin over a list: the smallest sub-list (in order) for which
+/// `check` still reports a divergence, found by deleting ever smaller
+/// runs. Returns it with its divergence. Shrinks power-failure
+/// schedules and recording-container mutation lists.
+pub fn ddmin<T: Clone>(
+    items: &[T],
+    divergence: Divergence,
+    check: impl Fn(&[T]) -> Option<Divergence>,
+) -> (Vec<T>, Divergence) {
+    let mut current: Vec<T> = items.to_vec();
+    let mut best = divergence;
+    let mut chunk = (current.len() / 2).max(1);
+    loop {
+        let mut removed_any = false;
+        let mut start = 0;
+        while start < current.len() && current.len() > 1 {
+            let mut candidate = current.clone();
+            let end = (start + chunk).min(candidate.len());
+            candidate.drain(start..end);
+            if let Some(d) = check(&candidate) {
+                current = candidate;
+                best = d;
+                removed_any = true;
+                // Re-test from the same position in the shorter list.
+            } else {
+                start += chunk;
+            }
+        }
+        if chunk == 1 {
+            if !removed_any {
+                break;
+            }
+        } else if !removed_any {
+            chunk /= 2;
+        }
+    }
+    (current, best)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

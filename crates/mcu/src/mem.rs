@@ -129,16 +129,10 @@ impl DecodeCache {
 }
 
 // The cache is derived state, so snapshots carry no entries: it
-// serializes as `null` and deserializes cold.
+// serializes as `null` (and `Memory` deserializes it cold).
 impl Serialize for DecodeCache {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
-    }
-}
-
-impl Deserialize for DecodeCache {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(DecodeCache::default())
     }
 }
 
@@ -156,12 +150,6 @@ struct WriteWatch {
     hit: bool,
 }
 
-impl Deserialize for WriteWatch {
-    fn from_value(_: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(WriteWatch::default())
-    }
-}
-
 /// The target's memory: SRAM that dies with power and FRAM that survives.
 ///
 /// # Example
@@ -175,7 +163,7 @@ impl Deserialize for WriteWatch {
 /// assert_eq!(mem.read_word(0x1C00), 0);       // volatile: gone
 /// assert_eq!(mem.read_word(0x4400), 0x5678);  // non-volatile: kept
 /// ```
-#[derive(Clone, Deserialize)]
+#[derive(Clone)]
 pub struct Memory {
     sram: Vec<u8>,
     fram: Vec<u8>,
@@ -196,13 +184,15 @@ pub struct Memory {
 // tracking is off: recordings and state digests taken without a
 // differential strategy must stay byte-identical to the derived layout
 // this replaces. Field order matches the struct declaration; the write
-// watch is transient and never written.
+// watch is transient and never written. The images are `Value::Bytes`,
+// which renders, encodes and digests exactly like the `Seq` of integers
+// a derived impl would build, without a tree node per byte.
 impl Serialize for Memory {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
         let mut fields = vec![
-            (Value::Str("sram".into()), self.sram.to_value()),
-            (Value::Str("fram".into()), self.fram.to_value()),
+            (Value::Str("sram".into()), Value::Bytes(self.sram.clone())),
+            (Value::Str("fram".into()), Value::Bytes(self.fram.clone())),
             (Value::Str("bus_faults".into()), self.bus_faults.to_value()),
             (
                 Value::Str("last_fault_addr".into()),
@@ -217,6 +207,46 @@ impl Serialize for Memory {
             fields.push((Value::Str("dirty_sram".into()), self.dirty_sram.to_value()));
         }
         Value::Map(fields)
+    }
+}
+
+// Accepts the images as `Value::Bytes` (a copy) or as the `Seq` of
+// integers a parsed recording or JSON document carries. A missing
+// `dirty_sram` key reads as tracking off; the decode cache and the write
+// watch start cold.
+impl Deserialize for Memory {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        use serde::{DeError, Value};
+        if v.as_map().is_none() {
+            return Err(DeError::expected("map", "Memory"));
+        }
+        let field = |name: &str| v.get_field(name).unwrap_or(&Value::Null);
+        let image = |name: &str, size: usize| {
+            field(name)
+                .to_byte_vec()
+                .filter(|bytes| bytes.len() == size)
+                .ok_or_else(|| {
+                    DeError::new(format!("expected a {size}-byte `{name}` image in Memory"))
+                })
+        };
+        let dirty_sram = <Option<Vec<u64>>>::from_value(field("dirty_sram"))?;
+        if dirty_sram
+            .as_ref()
+            .is_some_and(|bits| bits.len() != DIRTY_LIMBS)
+        {
+            return Err(DeError::new(format!(
+                "expected {DIRTY_LIMBS} `dirty_sram` limbs in Memory"
+            )));
+        }
+        Ok(Memory {
+            sram: image("sram", SRAM_SIZE)?,
+            fram: image("fram", FRAM_SIZE)?,
+            bus_faults: u64::from_value(field("bus_faults"))?,
+            last_fault_addr: Option::from_value(field("last_fault_addr"))?,
+            decode_cache: DecodeCache::default(),
+            dirty_sram,
+            watch: WriteWatch::default(),
+        })
     }
 }
 
@@ -735,6 +765,52 @@ mod tests {
         let mut back = Memory::from_value(&value).unwrap();
         assert!(!filled(&back), "deserialized: cold");
         assert_eq!(back.fetch_decoded(0x4400).unwrap().0, Instr::Nop);
+    }
+
+    #[test]
+    fn images_serialize_as_bytes_and_round_trip_from_either_form() {
+        use serde::Value;
+        let mut mem = Memory::new();
+        mem.write_word(0x1C00, 0x1234);
+        mem.write_word(0x4400, 0x5678);
+        mem.write_byte(0xFFFF, 0x9A);
+        let _ = mem.read_word(0x0002);
+        let value = mem.to_value();
+        let sram = value.get_field("sram").unwrap();
+        assert!(matches!(sram, Value::Bytes(b) if b.len() == SRAM_SIZE));
+        // The form a parsed recording or JSON document carries.
+        let spelled = |v: &Value| match v {
+            Value::Bytes(b) => Value::Seq(b.iter().map(|&x| Value::U64(u64::from(x))).collect()),
+            other => other.clone(),
+        };
+        let Value::Map(fields) = &value else {
+            panic!("Memory serializes as a map")
+        };
+        let seq_form = Value::Map(
+            fields
+                .iter()
+                .map(|(k, v)| (k.clone(), spelled(v)))
+                .collect(),
+        );
+        assert_eq!(seq_form, value);
+        for form in [&value, &seq_form] {
+            let mut back = Memory::from_value(form).unwrap();
+            assert_eq!(back.sram(), mem.sram());
+            assert_eq!(back.fram(), mem.fram());
+            assert_eq!(back.read_word(0x1C00), 0x1234);
+            assert_eq!(back.to_value(), value);
+        }
+        // A truncated image is a typed error, not a later out-of-bounds.
+        let short = Value::Map(
+            fields
+                .iter()
+                .map(|(k, v)| match k.as_str() {
+                    Some("fram") => (k.clone(), Value::Bytes(vec![0; 16])),
+                    _ => (k.clone(), v.clone()),
+                })
+                .collect(),
+        );
+        assert!(Memory::from_value(&short).is_err());
     }
 
     #[test]

@@ -47,8 +47,19 @@ const TAG_END: u8 = 6;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// `FNV_PRIME^8`: folding eight zero bytes is one multiply by it.
+const FNV_PRIME_POW8: u64 = FNV_PRIME
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME);
 
-/// Streaming FNV-1a, the digest used for chunks and state encodings.
+/// Streaming FNV-1a: the one hash of the workspace. It digests recording
+/// chunks and state encodings, checkpoint commit records, fuzz outcome
+/// streams and trial-seed derivation.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv(u64);
 
@@ -64,6 +75,12 @@ impl Fnv {
             self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
+    }
+
+    /// Folds `tag` followed by the eight little-endian bytes of `x`.
+    fn write_tagged_u64(&mut self, tag: u8, x: u64) {
+        self.write(&[tag]);
+        self.write(&x.to_le_bytes());
     }
 
     /// The digest so far.
@@ -84,6 +101,12 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.write(bytes);
     h.finish()
 }
+
+/// Deepest `Seq`/`Map` nesting [`decode_value`] accepts. The decoder
+/// recurses once per level, so a hostile recording of nested one-element
+/// sequences could otherwise exhaust the thread's stack and abort the
+/// process. Every tree the workspace records is far shallower.
+pub const MAX_DEPTH: usize = 128;
 
 /// A malformed or corrupt recording, with the byte offset of the fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,24 +191,103 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
                 encode_value(val, out);
             }
         }
+        // Exactly the bytes of the `Seq` of `U64`s it stands for.
+        Value::Bytes(bytes) => {
+            out.push(VAL_SEQ);
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.reserve(9 * bytes.len());
+            for &b in bytes {
+                out.extend_from_slice(&[VAL_U64, b, 0, 0, 0, 0, 0, 0, 0]);
+            }
+        }
+    }
+}
+
+/// The length of the canonical encoding of `v`, without encoding it.
+fn encoded_len(v: &Value) -> usize {
+    match v {
+        Value::Null | Value::Bool(_) => 1,
+        Value::U64(_) | Value::I64(_) | Value::F64(_) => 9,
+        Value::Str(s) => 5 + s.len(),
+        Value::Seq(items) => 5 + items.iter().map(encoded_len).sum::<usize>(),
+        Value::Map(pairs) => {
+            5 + pairs
+                .iter()
+                .map(|(k, val)| encoded_len(k) + encoded_len(val))
+                .sum::<usize>()
+        }
+        Value::Bytes(bytes) => 5 + 9 * bytes.len(),
     }
 }
 
 /// The canonical encoding of `v` as an owned buffer.
 pub fn value_bytes(v: &Value) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(encoded_len(v));
     encode_value(v, &mut out);
     out
 }
 
 /// FNV-1a digest of the canonical encoding of `v` — the "state digest"
-/// used at snapshot boundaries.
+/// used at snapshot boundaries. Always equal to
+/// `fnv1a(&value_bytes(v))`, but computed by walking the tree, with no
+/// encode buffer.
 pub fn value_digest(v: &Value) -> u64 {
-    fnv1a(&value_bytes(v))
+    let mut h = Fnv::new();
+    digest_value(v, &mut h);
+    h.finish()
+}
+
+/// Folds the canonical encoding of `v` into `h` without building it.
+fn digest_value(v: &Value, h: &mut Fnv) {
+    match v {
+        Value::Null => h.write(&[VAL_NULL]),
+        Value::Bool(false) => h.write(&[VAL_FALSE]),
+        Value::Bool(true) => h.write(&[VAL_TRUE]),
+        Value::U64(x) => h.write_tagged_u64(VAL_U64, *x),
+        Value::I64(x) => h.write_tagged_u64(VAL_I64, *x as u64),
+        Value::F64(x) => h.write_tagged_u64(VAL_F64, x.to_bits()),
+        Value::Str(s) => {
+            h.write(&[VAL_STR]);
+            h.write(&(s.len() as u32).to_le_bytes());
+            h.write(s.as_bytes());
+        }
+        Value::Seq(items) => {
+            h.write(&[VAL_SEQ]);
+            h.write(&(items.len() as u32).to_le_bytes());
+            for item in items {
+                digest_value(item, h);
+            }
+        }
+        Value::Map(pairs) => {
+            h.write(&[VAL_MAP]);
+            h.write(&(pairs.len() as u32).to_le_bytes());
+            for (k, val) in pairs {
+                digest_value(k, h);
+                digest_value(val, h);
+            }
+        }
+        Value::Bytes(bytes) => {
+            h.write(&[VAL_SEQ]);
+            h.write(&(bytes.len() as u32).to_le_bytes());
+            // Each element encodes as `VAL_U64, b, 0 × 7`: two FNV rounds,
+            // then seven zero bytes, which only multiply by the prime.
+            let mut x = h.0;
+            for &b in bytes {
+                x = (x ^ u64::from(VAL_U64)).wrapping_mul(FNV_PRIME);
+                x = (x ^ u64::from(b)).wrapping_mul(FNV_PRIME_POW8);
+            }
+            h.0 = x;
+        }
+    }
 }
 
 /// Decodes one canonical `Value` starting at `*pos`, advancing `*pos`.
+/// Nesting deeper than [`MAX_DEPTH`] is a [`FormatError`].
 pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, FormatError> {
+    decode_nested(bytes, pos, 0)
+}
+
+fn decode_nested(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, FormatError> {
     let at = *pos;
     let tag = *bytes
         .get(at)
@@ -210,11 +312,15 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, FormatError>
             *pos = end;
             Ok(Value::Str(s))
         }
+        VAL_SEQ | VAL_MAP if depth == MAX_DEPTH => Err(FormatError::new(
+            at,
+            format!("value nesting deeper than {MAX_DEPTH}"),
+        )),
         VAL_SEQ => {
             let n = take_u32(bytes, pos)? as usize;
             let mut items = Vec::new();
             for _ in 0..n {
-                items.push(decode_value(bytes, pos)?);
+                items.push(decode_nested(bytes, pos, depth + 1)?);
             }
             Ok(Value::Seq(items))
         }
@@ -222,8 +328,8 @@ pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, FormatError>
             let n = take_u32(bytes, pos)? as usize;
             let mut pairs = Vec::new();
             for _ in 0..n {
-                let k = decode_value(bytes, pos)?;
-                let v = decode_value(bytes, pos)?;
+                let k = decode_nested(bytes, pos, depth + 1)?;
+                let v = decode_nested(bytes, pos, depth + 1)?;
                 pairs.push((k, v));
             }
             Ok(Value::Map(pairs))
@@ -308,39 +414,22 @@ pub enum Chunk {
 }
 
 impl Chunk {
-    fn tag(&self) -> u8 {
+    /// Appends this chunk, framed and digested, to `out`.
+    fn write(&self, out: &mut Vec<u8>) {
         match self {
-            Chunk::Spec { .. } => TAG_SPEC,
-            Chunk::Meta { .. } => TAG_META,
-            Chunk::Op { .. } => TAG_OP,
-            Chunk::Snapshot { .. } => TAG_SNAPSHOT,
-            Chunk::Digest { .. } => TAG_DIGEST,
-            Chunk::End { .. } => TAG_END,
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Chunk::Spec { value } => encode_value(value, &mut out),
+            Chunk::Spec { value } => push_chunk(out, TAG_SPEC, &[], Some(value)),
             Chunk::Meta { stride, start_ns } => {
-                out.extend_from_slice(&stride.to_le_bytes());
-                out.extend_from_slice(&start_ns.to_le_bytes());
+                push_chunk(out, TAG_META, &[*stride, *start_ns], None);
             }
-            Chunk::Op { now_ns, value } => {
-                out.extend_from_slice(&now_ns.to_le_bytes());
-                encode_value(value, &mut out);
-            }
+            Chunk::Op { now_ns, value } => push_chunk(out, TAG_OP, &[*now_ns], Some(value)),
             Chunk::Snapshot { now_ns, state } => {
-                out.extend_from_slice(&now_ns.to_le_bytes());
-                encode_value(state, &mut out);
+                push_chunk(out, TAG_SNAPSHOT, &[*now_ns], Some(state));
             }
-            Chunk::Digest { now_ns, digest } | Chunk::End { now_ns, digest } => {
-                out.extend_from_slice(&now_ns.to_le_bytes());
-                out.extend_from_slice(&digest.to_le_bytes());
+            Chunk::Digest { now_ns, digest } => {
+                push_chunk(out, TAG_DIGEST, &[*now_ns, *digest], None);
             }
+            Chunk::End { now_ns, digest } => push_chunk(out, TAG_END, &[*now_ns, *digest], None),
         }
-        out
     }
 
     fn decode(tag: u8, payload: &[u8], base: usize) -> Result<Chunk, FormatError> {
@@ -386,24 +475,44 @@ impl Chunk {
     }
 }
 
-/// Serializes `chunks` into a complete recording byte stream.
-pub fn write_chunks(chunks: &[Chunk]) -> Vec<u8> {
+/// Appends one chunk whose payload is `words` (little-endian) followed
+/// by the canonical encoding of `value`. The payload is encoded straight
+/// into `out`, and its digest is folded from the same fields (see
+/// [`value_digest`]) rather than re-read from the encoded bytes.
+fn push_chunk(out: &mut Vec<u8>, tag: u8, words: &[u64], value: Option<&Value>) {
+    let len = 8 * words.len() + value.map_or(0, encoded_len);
+    let len = (len as u32).to_le_bytes();
+    let mut h = Fnv::new();
+    h.write(&[tag]);
+    h.write(&len);
+    out.push(tag);
+    out.extend_from_slice(&len);
+    for word in words {
+        let word = word.to_le_bytes();
+        h.write(&word);
+        out.extend_from_slice(&word);
+    }
+    if let Some(value) = value {
+        digest_value(value, &mut h);
+        encode_value(value, out);
+    }
+    out.extend_from_slice(&h.finish().to_le_bytes());
+}
+
+/// A container header with no chunks yet.
+fn header() -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&0u16.to_le_bytes()); // flags
+    out
+}
+
+/// Serializes `chunks` into a complete recording byte stream.
+pub fn write_chunks(chunks: &[Chunk]) -> Vec<u8> {
+    let mut out = header();
     for chunk in chunks {
-        let payload = chunk.payload();
-        let tag = chunk.tag();
-        let len = (payload.len() as u32).to_le_bytes();
-        let mut h = Fnv::new();
-        h.write(&[tag]);
-        h.write(&len);
-        h.write(&payload);
-        out.push(tag);
-        out.extend_from_slice(&len);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&h.finish().to_le_bytes());
+        chunk.write(&mut out);
     }
     out
 }
@@ -515,38 +624,31 @@ pub struct Recording {
 }
 
 impl Recording {
-    /// Serializes to the container byte stream.
+    /// Serializes to the container byte stream, encoding straight from
+    /// the borrowed entries.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut chunks = Vec::new();
+        let mut out = header();
         if let Some(spec) = &self.spec {
-            chunks.push(Chunk::Spec {
-                value: spec.clone(),
-            });
+            push_chunk(&mut out, TAG_SPEC, &[], Some(spec));
         }
-        chunks.push(Chunk::Meta {
-            stride: self.stride,
-            start_ns: self.start_ns,
-        });
+        push_chunk(&mut out, TAG_META, &[self.stride, self.start_ns], None);
         for entry in &self.entries {
-            chunks.push(match entry {
-                Entry::Op { now_ns, value } => Chunk::Op {
-                    now_ns: *now_ns,
-                    value: value.clone(),
-                },
-                Entry::Snapshot { now_ns, state } => Chunk::Snapshot {
-                    now_ns: *now_ns,
-                    state: state.clone(),
-                },
-                Entry::Digest { now_ns, digest } => Chunk::Digest {
-                    now_ns: *now_ns,
-                    digest: *digest,
-                },
-            });
+            match entry {
+                Entry::Op { now_ns, value } => {
+                    push_chunk(&mut out, TAG_OP, &[*now_ns], Some(value))
+                }
+                Entry::Snapshot { now_ns, state } => {
+                    push_chunk(&mut out, TAG_SNAPSHOT, &[*now_ns], Some(state));
+                }
+                Entry::Digest { now_ns, digest } => {
+                    push_chunk(&mut out, TAG_DIGEST, &[*now_ns, *digest], None);
+                }
+            }
         }
         if let Some((now_ns, digest)) = self.end {
-            chunks.push(Chunk::End { now_ns, digest });
+            push_chunk(&mut out, TAG_END, &[now_ns, digest], None);
         }
-        write_chunks(&chunks)
+        out
     }
 
     /// Parses a recording from the container byte stream.
@@ -731,6 +833,163 @@ mod tests {
         assert_eq!(pos, enc.len());
         assert_eq!(back, v);
         assert_eq!(value_digest(&back), value_digest(&v));
+    }
+
+    /// An arbitrary tree drawn from `seed`, up to `depth` levels deep,
+    /// with every variant (byte strings included) at every level.
+    fn arbitrary_value(seed: &mut u64, depth: u32) -> Value {
+        let mut next = || {
+            *seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = *seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let pick = next() % if depth == 0 { 7 } else { 9 };
+        let x = next();
+        match pick {
+            0 => Value::Null,
+            1 => Value::Bool(x & 1 == 1),
+            2 => Value::U64(x >> (x % 64)),
+            3 => Value::I64(x as i64),
+            4 => Value::F64(f64::from_bits(x)),
+            5 => Value::Str("héllo, wörld".chars().take((x % 13) as usize).collect()),
+            6 => Value::Bytes(
+                (0..x % 40)
+                    .map(|i| (x >> (i % 8 * 8)) as u8 ^ i as u8)
+                    .collect(),
+            ),
+            7 => Value::Seq(
+                (0..x % 5)
+                    .map(|_| arbitrary_value(seed, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Map(
+                (0..x % 4)
+                    .map(|_| {
+                        (
+                            arbitrary_value(seed, depth - 1),
+                            arbitrary_value(seed, depth - 1),
+                        )
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `Bytes(b)` with every byte string spelled out as the `Seq` of
+    /// `U64`s it stands for — the form a decoded tape holds.
+    fn spelled_out(v: &Value) -> Value {
+        match v {
+            Value::Bytes(b) => Value::Seq(b.iter().map(|&x| Value::U64(u64::from(x))).collect()),
+            Value::Seq(items) => Value::Seq(items.iter().map(spelled_out).collect()),
+            Value::Map(pairs) => Value::Map(
+                pairs
+                    .iter()
+                    .map(|(k, val)| (spelled_out(k), spelled_out(val)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        /// The structural digest and length agree with the encoding for
+        /// every tree, and a byte string encodes exactly as its `Seq`.
+        #[test]
+        fn structural_digest_matches_the_encoding(
+            mut seed in proptest::prelude::any::<u64>(),
+            depth in 0u32..5,
+        ) {
+            let v = arbitrary_value(&mut seed, depth);
+            let enc = value_bytes(&v);
+            proptest::prop_assert_eq!(value_digest(&v), fnv1a(&enc));
+            proptest::prop_assert_eq!(encoded_len(&v), enc.len());
+            let seq = spelled_out(&v);
+            proptest::prop_assert_eq!(&value_bytes(&seq), &enc);
+            proptest::prop_assert_eq!(value_digest(&seq), value_digest(&v));
+            let mut pos = 0;
+            let back = decode_value(&enc, &mut pos).expect("decodes");
+            proptest::prop_assert_eq!(pos, enc.len());
+            proptest::prop_assert_eq!(value_bytes(&back), enc);
+        }
+    }
+
+    #[test]
+    fn byte_strings_encode_digest_and_compare_as_their_seq() {
+        let image: Vec<u8> = (0..49_152u32).map(|i| (i * 31 % 251) as u8).collect();
+        let bytes = Value::Bytes(image.clone());
+        let seq = Value::Seq(image.iter().map(|&b| Value::U64(u64::from(b))).collect());
+        assert_eq!(value_bytes(&bytes), value_bytes(&seq));
+        assert_eq!(value_digest(&bytes), fnv1a(&value_bytes(&seq)));
+        assert_eq!(bytes, seq);
+        // A recording holding byte strings equals its decoded copy, whose
+        // images are `Seq`s again, and re-encodes to the same bytes.
+        let mut rec = sample_recording();
+        rec.entries.push(Entry::Snapshot {
+            now_ns: 2000,
+            state: Value::Map(vec![(Value::Str("mem".into()), bytes)]),
+        });
+        let encoded = rec.to_bytes();
+        let back = Recording::from_bytes(&encoded).expect("parses");
+        assert_eq!(back, rec);
+        assert_eq!(back.to_bytes(), encoded);
+        // `to_bytes` frames chunks exactly as `write_chunks` does.
+        let mut chunks = vec![Chunk::Spec {
+            value: rec.spec.clone().unwrap(),
+        }];
+        chunks.push(Chunk::Meta {
+            stride: rec.stride,
+            start_ns: rec.start_ns,
+        });
+        for entry in &rec.entries {
+            chunks.push(match entry.clone() {
+                Entry::Op { now_ns, value } => Chunk::Op { now_ns, value },
+                Entry::Snapshot { now_ns, state } => Chunk::Snapshot { now_ns, state },
+                Entry::Digest { now_ns, digest } => Chunk::Digest { now_ns, digest },
+            });
+        }
+        let (now_ns, digest) = rec.end.unwrap();
+        chunks.push(Chunk::End { now_ns, digest });
+        assert_eq!(write_chunks(&chunks), encoded);
+    }
+
+    /// A valid `Spec` chunk around `payload`.
+    fn spec_chunk_recording(payload: &[u8]) -> Vec<u8> {
+        let mut bytes = write_chunks(&[]);
+        let len = (payload.len() as u32).to_le_bytes();
+        let mut h = Fnv::new();
+        h.write(&[TAG_SPEC]);
+        h.write(&len);
+        h.write(payload);
+        bytes.push(TAG_SPEC);
+        bytes.extend_from_slice(&len);
+        bytes.extend_from_slice(payload);
+        bytes.extend_from_slice(&h.finish().to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // One-element sequences nested `depth` deep around a null.
+        let nested = |depth: usize| {
+            let mut payload = [VAL_SEQ, 1, 0, 0, 0].repeat(depth);
+            payload.push(VAL_NULL);
+            payload
+        };
+        let mut pos = 0;
+        assert!(decode_value(&nested(MAX_DEPTH), &mut pos).is_ok());
+        let mut pos = 0;
+        let err = decode_value(&nested(MAX_DEPTH + 1), &mut pos).unwrap_err();
+        assert!(err.detail.contains("nesting"), "{err}");
+        assert_eq!(err.offset, 5 * MAX_DEPTH);
+        // 100 KB of nesting with a valid chunk digest: far past any
+        // thread stack, yet a typed error rather than an abort.
+        let hostile = spec_chunk_recording(&nested(20_000));
+        let err = Recording::from_bytes(&hostile).unwrap_err();
+        assert!(err.detail.contains("nesting"), "{err}");
     }
 
     #[test]

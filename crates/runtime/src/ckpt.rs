@@ -51,6 +51,7 @@ use edb_device::Device;
 use edb_energy::{KneeDetector, PowerEdge};
 use edb_mcu::cpu::Flags;
 use edb_mcu::{Cpu, Memory};
+use edb_replay::Fnv;
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// First byte of the zoo's FRAM region.
@@ -84,14 +85,11 @@ const KIND_DELTA: u8 = 1;
 /// FNV-1a over concatenated byte slices, the digest sealing every
 /// commit record.
 fn fnv64(parts: &[&[u8]]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut h = Fnv::new();
     for part in parts {
-        for &b in *part {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(part);
     }
-    h
+    h.finish()
 }
 
 fn base_addr(half: u8) -> u16 {

@@ -355,6 +355,28 @@ mod tests {
         assert!(info.contains(r#""name":"edb-serve""#), "{info}");
     }
 
+    /// Intake hardening: a line nested far past any stack but under
+    /// [`MAX_LINE_BYTES`] gets a typed `-32700` reply instead of
+    /// aborting the process, and the connection keeps serving.
+    #[test]
+    fn deeply_nested_line_gets_a_typed_parse_error() {
+        let (_server, mut stream, mut reader) = start_server();
+        let mut deep = String::from(r#"{"jsonrpc":"2.0","id":3,"method":"status","params":"#);
+        deep.push_str(&"[".repeat(60_000));
+        assert!(deep.len() < MAX_LINE_BYTES);
+        deep.push('\n');
+        stream.write_all(deep.as_bytes()).unwrap();
+        let reply = read_reply(&mut reader);
+        assert!(reply.contains(r#""code":-32700"#), "{reply}");
+        assert!(reply.contains("nesting"), "{reply}");
+        let info = request(
+            &mut stream,
+            &mut reader,
+            r#"{"jsonrpc":"2.0","id":1,"method":"server_info","params":{}}"#,
+        );
+        assert!(info.contains(r#""name":"edb-serve""#), "{info}");
+    }
+
     /// Intake hardening: a request line over [`MAX_LINE_BYTES`] gets a
     /// typed `-32700` reply, the tail is discarded, and the next
     /// request is served normally.
